@@ -217,7 +217,8 @@ def generate_workload(name: str, **overrides) -> Trace:
 
     ``overrides`` are forwarded to the underlying generator (``length`` and
     ``seed`` for the SPEC-like workloads, ``max_accesses``/``seed`` for
-    Graph500, and the micro generators' own parameters).  Names with the
+    Graph500 — which also takes ``length`` as an alias for its cap — and the
+    micro generators' own parameters).  Names with the
     ``trace:`` prefix load packed trace files from the search path instead
     of generating; they accept only the ``length`` override.
     """
@@ -228,6 +229,14 @@ def generate_workload(name: str, **overrides) -> Trace:
     if key in SPEC_SPECS:
         return generate_spec_trace(key, **overrides)
     if key in GRAPH500_SPECS:
+        # Every other generator calls its length ``length``; Graph500's cap
+        # is ``max_accesses``.  Accept either spelling, never both.
+        if "length" in overrides:
+            if "max_accesses" in overrides:
+                raise ValueError(
+                    f"{name}: pass either 'length' or 'max_accesses', not both"
+                )
+            overrides["max_accesses"] = overrides.pop("length")
         return generate_graph500_trace(key, **overrides)
     if key in _MICRO_GENERATORS:
         return _MICRO_GENERATORS[key](**overrides)

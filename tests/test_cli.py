@@ -56,6 +56,16 @@ class TestCommands:
         assert "speedup" in output
         assert "triage" in output
 
+    def test_run_graph500_with_trace_length(self, capsys):
+        clear_caches()
+        code = main(
+            ["run", "graph500_s16", "--config", "triangel", "--trace-length", "1500"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "graph500_s16" in output
+        assert "triangel" in output
+
     def test_figure_table1_is_analytic_and_fast(self, capsys):
         assert main(["figure", "table1"]) == 0
         output = capsys.readouterr().out

@@ -190,6 +190,26 @@ class TestMicroAndRegistry:
         assert len(generate_workload("pointer_chase", nodes=16, repeats=2)) == 32
         assert len(generate_workload("graph500_s16", max_accesses=500)) <= 500
 
+    def test_graph500_accepts_length_as_its_cap(self):
+        by_length = generate_workload("graph500_s16", length=700)
+        by_cap = generate_workload("graph500_s16", max_accesses=700)
+        assert len(by_length) == len(by_cap) == 700
+        assert by_length.access_columns() == by_cap.access_columns()
+
+    def test_graph500_rejects_length_and_cap_together(self):
+        with pytest.raises(ValueError, match="not both"):
+            generate_workload("graph500_s16", length=700, max_accesses=700)
+
+    def test_graph500_trace_length_runs_through_a_spec(self):
+        from repro.experiments.jobs import RunSpec, execute
+        from repro.sim.config import SystemConfig
+
+        spec = RunSpec.create(
+            "graph500_s16", "baseline", SystemConfig(), trace_overrides={"length": 900}
+        )
+        stats = execute(spec)
+        assert stats.accesses == 900 - int(900 * spec.warmup_fraction)
+
     def test_registry_unknown_raises(self):
         with pytest.raises(ValueError):
             generate_workload("doom")
