@@ -110,14 +110,16 @@ class HistorySampler:
         every individual reuse fits comfortably.
         """
 
-        self.stats.lookups += 1
+        stats = self.stats
+        stats.lookups += 1
         self._clock += 1
-        set_index, tag = self._locate(line_address)
-        for entry in self._sets[set_index]:
+        # _locate() inlined: one lookup per Triangel training event.
+        tag = fold_hash(line_address, self.tag_bits)
+        for entry in self._sets[mix64(line_address) % self.num_sets]:
             if entry.valid and entry.address_tag == tag:
                 entry.last_use = self._clock
                 entry.used = True
-                self.stats.hits += 1
+                stats.hits += 1
                 hit = SamplerHit(
                     target=entry.target,
                     train_idx=entry.train_idx,

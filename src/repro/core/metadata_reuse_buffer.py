@@ -63,10 +63,12 @@ class MetadataReuseBuffer:
     def lookup(self, index_address: int) -> MrbEntry | None:
         """Return the cached Markov entry for ``index_address``, if present."""
 
-        self.stats.lookups += 1
-        for entry in self._set_for(index_address):
+        stats = self.stats
+        stats.lookups += 1
+        # _set_for() inlined: up to four lookups per Triangel trigger.
+        for entry in self._sets[mix64(index_address) % self.num_sets]:
             if entry.valid and entry.index_address == index_address:
-                self.stats.hits += 1
+                stats.hits += 1
                 return entry
         return None
 
@@ -74,7 +76,7 @@ class MetadataReuseBuffer:
         """Cache a Markov entry that was just used to generate a prefetch."""
 
         self._order += 1
-        ways = self._set_for(index_address)
+        ways = self._sets[mix64(index_address) % self.num_sets]
         for entry in ways:
             if entry.valid and entry.index_address == index_address:
                 entry.target = target

@@ -54,6 +54,10 @@ class SecondChanceSampler:
         self.window_fills = window_fills
         self._entries = [SecondChanceEntry() for _ in range(entries)]
         self._order = 0
+        #: A lower bound on every valid entry's ``fill_count`` (infinite
+        #: when empty): until the fill count passes it by more than the
+        #: window, nothing can expire and the scan is skipped.
+        self._oldest_fill: float = float("inf")
         self.stats = SecondChanceStats()
 
     def insert(self, address: int, train_idx: int, fill_count: int) -> SecondChanceOutcome | None:
@@ -63,6 +67,8 @@ class SecondChanceSampler:
         self.stats.inserts += 1
         self._order += 1
         forced: SecondChanceOutcome | None = None
+        if fill_count < self._oldest_fill:
+            self._oldest_fill = fill_count
 
         slot = None
         for entry in self._entries:
@@ -114,14 +120,21 @@ class SecondChanceSampler:
         caller decrements the owning PC's PatternConf.
         """
 
+        if current_fill_count - self._oldest_fill <= self.window_fills:
+            return []
         outcomes: list[SecondChanceOutcome] = []
+        oldest: float = float("inf")
         for entry in self._entries:
-            if entry.valid and current_fill_count - entry.fill_count > self.window_fills:
-                entry.valid = False
-                self.stats.evicted_unmatched += 1
-                outcomes.append(
-                    SecondChanceOutcome(within_window=False, train_idx=entry.train_idx)
-                )
+            if entry.valid:
+                if current_fill_count - entry.fill_count > self.window_fills:
+                    entry.valid = False
+                    self.stats.evicted_unmatched += 1
+                    outcomes.append(
+                        SecondChanceOutcome(within_window=False, train_idx=entry.train_idx)
+                    )
+                elif entry.fill_count < oldest:
+                    oldest = entry.fill_count
+        self._oldest_fill = oldest
         return outcomes
 
     def occupancy(self) -> int:

@@ -83,6 +83,11 @@ class TriangelTrainingTable:
         ]
         self._clock = 0
         self.stats = TriangelTrainingStats()
+        # PC -> (set, tag) is a pure function of the geometry; memoise it
+        # (bounded, like the stride prefetcher's entry memo) so a trigger
+        # hashes its PC once per run rather than twice per access.
+        self._locate_memo: dict[int, tuple[int, int]] = {}
+        self._locate_memo_cap = 16 * self.entries
 
     def _new_entry(self) -> TriangelTrainingEntry:
         cfg = self.config
@@ -100,7 +105,12 @@ class TriangelTrainingTable:
         )
 
     def _locate(self, pc: int) -> tuple[int, int]:
-        return mix64(pc) % self.num_sets, fold_hash(pc, self.config.pc_tag_bits)
+        located = self._locate_memo.get(pc)
+        if located is None:
+            located = mix64(pc) % self.num_sets, fold_hash(pc, self.config.pc_tag_bits)
+            if len(self._locate_memo) < self._locate_memo_cap:
+                self._locate_memo[pc] = located
+        return located
 
     def entry_index(self, pc: int) -> int:
         """A stable identifier for the training entry a PC maps to.
@@ -144,12 +154,17 @@ class TriangelTrainingTable:
         before Triangel stores metadata or prefetches for it.
         """
 
-        set_index, tag = self._locate(pc)
-        entry = self.find(pc)
-        if entry is not None:
-            way = self._sets[set_index].index(entry)
-            return entry, set_index * self.assoc + way, False
+        # find() written out inline, keeping the matching way.
+        stats = self.stats
+        stats.lookups += 1
+        self._clock += 1
+        set_index, tag = self._locate_memo.get(pc) or self._locate(pc)
         ways = self._sets[set_index]
+        for way, entry in enumerate(ways):
+            if entry.valid and entry.pc_tag == tag:
+                entry.last_use = self._clock
+                stats.hits += 1
+                return entry, set_index * self.assoc + way, False
         victim_way = None
         for way, candidate in enumerate(ways):
             if not candidate.valid:

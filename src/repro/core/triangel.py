@@ -124,9 +124,21 @@ class TriangelPrefetcher(Prefetcher):
         if cfg.enable_second_chance:
             self._resolve_second_chances(entry, train_idx, line_addr)
 
-        self._update_lookahead(entry)
-
-        if self._should_act(entry):
+        # Aggression control, written out inline (once per trigger).
+        # Lookahead: HighPatternConf saturating switches to lookahead 2;
+        # BasePatternConf falling below its mid-point switches back.
+        if not cfg.enable_lookahead:
+            entry.lookahead = 1
+        elif not cfg.enable_high_pattern_conf or entry.high_pattern_conf.is_saturated:
+            entry.lookahead = 2
+        elif entry.base_pattern_conf.value < cfg.conf_initial:
+            entry.lookahead = 1
+        # Store metadata and prefetch only for PCs whose enabled confidence
+        # counters are above their initial value (section 4.5).
+        if not (
+            (cfg.enable_reuse_conf and not entry.reuse_conf.above_initial())
+            or (cfg.enable_base_pattern_conf and not entry.base_pattern_conf.above_initial())
+        ):
             self._train_markov(entry, pc, line_addr)
             self._generate_prefetches(entry, line_addr, sink)
 
@@ -226,27 +238,6 @@ class TriangelPrefetcher(Prefetcher):
             target_entry.high_pattern_conf.decrease()
 
     # -- aggression control -----------------------------------------------------------
-    def _update_lookahead(self, entry: TriangelTrainingEntry) -> None:
-        cfg = self.config
-        if not cfg.enable_lookahead:
-            entry.lookahead = 1
-            return
-        if not cfg.enable_high_pattern_conf:
-            entry.lookahead = 2
-            return
-        if entry.high_pattern_conf.is_saturated:
-            entry.lookahead = 2
-        elif entry.base_pattern_conf.value < cfg.conf_initial:
-            entry.lookahead = 1
-
-    def _should_act(self, entry: TriangelTrainingEntry) -> bool:
-        cfg = self.config
-        if cfg.enable_reuse_conf and not entry.reuse_conf.above_initial():
-            return False
-        if cfg.enable_base_pattern_conf and not entry.base_pattern_conf.above_initial():
-            return False
-        return True
-
     def _degree_for(self, entry: TriangelTrainingEntry) -> int:
         cfg = self.config
         if not cfg.enable_high_pattern_conf:

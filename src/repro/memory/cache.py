@@ -154,7 +154,7 @@ class SetAssociativeCache:
         "stats",
         "_sets",
         "_tag_maps",
-        "_all_ways",
+        "_data_ways",
         "_line_bits",
         "_set_mask",
         "_set_bits",
@@ -193,7 +193,9 @@ class SetAssociativeCache:
         #: Per-set ``{tag: way}`` index mirroring ``_sets``; every fill,
         #: eviction and invalidation updates it, making lookups O(1).
         self._tag_maps: list[dict[int, int]] = [{} for _ in range(self.num_sets)]
-        self._all_ways = tuple(range(assoc))
+        #: Ways eligible to hold data, in victim-scan order.  A shared
+        #: tuple; the partitioned L3 rebuilds it whenever it resizes.
+        self._data_ways = tuple(range(assoc))
         # Shift/mask decomposition (power-of-two geometries, i.e. all of
         # them): line number = address >> _line_bits, set = line & _set_mask,
         # tag = line >> num_sets.bit_length()-1.  ``_set_mask`` is None when
@@ -233,8 +235,12 @@ class SetAssociativeCache:
     def probe(self, address: int) -> bool:
         """Return whether the line is present, without touching any state."""
 
-        set_index, tag = self.locate(address)
-        return tag in self._tag_maps[set_index]
+        mask = self._set_mask
+        if mask is None:
+            set_index, tag = self.locate(address)
+            return tag in self._tag_maps[set_index]
+        line_number = address >> self._line_bits
+        return line_number >> self._set_bits in self._tag_maps[line_number & mask]
 
     def get_line(self, address: int) -> CacheLine | None:
         """Return the resident line for ``address`` (no state change)."""
@@ -268,7 +274,13 @@ class SetAssociativeCache:
         Returns the cache's scratch :class:`AccessOutcome` (see class docs).
         """
 
-        set_index, tag = self.locate(address)
+        mask = self._set_mask
+        if mask is None:
+            set_index, tag = self.locate(address)
+        else:
+            line_number = address >> self._line_bits
+            set_index = line_number & mask
+            tag = line_number >> self._set_bits
         stats = self.stats
         stats.demand_accesses += 1
         observe = self._policy_observe
@@ -311,26 +323,68 @@ class SetAssociativeCache:
         """Insert a line (demand fill or prefetch fill); return the victim, if any.
 
         The returned victim is the cache's scratch :class:`EvictionInfo`
-        (see class docs).
+        (see class docs).  Victim choice and eviction are written out inline
+        (this is the hottest function of a miss-heavy run); the policy still
+        sees ``victim`` → ``on_invalidate`` → ``on_fill``, in that order.
         """
 
-        set_index, tag = self.locate(address)
-        existing = self._tag_maps[set_index].get(tag)
+        mask = self._set_mask
+        if mask is None:
+            set_index, tag = self.locate(address)
+        else:
+            line_number = address >> self._line_bits
+            set_index = line_number & mask
+            tag = line_number >> self._set_bits
+        tag_map = self._tag_maps[set_index]
+        ways = self._sets[set_index]
+        policy = self.policy
+        existing = tag_map.get(tag)
         if existing is not None:
             # Re-filling a resident line (e.g. a prefetch racing a demand
             # fill): refresh flags without evicting anything.
-            line = self._sets[set_index][existing]
+            line = ways[existing]
             line.dirty = line.dirty or is_write
             if prefetched and not line.prefetched:
                 line.prefetched = True
                 line.used_since_prefetch = False
                 line.ready_cycle = ready_cycle
-            self.policy.on_hit(set_index, existing, pc)
+            policy.on_hit(set_index, existing, pc)
             return None
+        stats = self.stats
         if prefetched:
-            self.stats.prefetch_fills += 1
-        way, victim_info = self._choose_victim(set_index)
-        line = self._sets[set_index][way]
+            stats.prefetch_fills += 1
+        candidates = self._data_ways
+        # Valid lines always live within the data ways (the partitioned L3
+        # evicts data out of ways it reserves), so the tag map's size says
+        # whether an invalid way exists at all — a full set, the steady
+        # state, skips the scan entirely.
+        way = None
+        if len(tag_map) < len(candidates):
+            for candidate in candidates:
+                if not ways[candidate].valid:
+                    way = candidate
+                    break
+        if way is not None:
+            line = ways[way]
+            info = None
+        else:
+            way = policy.victim(set_index, candidates)
+            line = ways[way]
+            victim_tag = line.tag
+            dirty = line.dirty
+            prefetched_unused = line.prefetched and not line.used_since_prefetch
+            if prefetched_unused:
+                stats.prefetched_evicted_unused += 1
+            if dirty:
+                stats.writebacks += 1
+            info = self._scratch_eviction
+            info.address = (victim_tag * self.num_sets + set_index) * self.line_size
+            info.dirty = dirty
+            info.prefetched_unused = prefetched_unused
+            info.pc = line.pc
+            del tag_map[victim_tag]
+            policy.on_invalidate(set_index, way)
+        # Every field is overwritten, so the evicted line needs no reset().
         line.valid = True
         line.tag = tag
         line.dirty = is_write
@@ -339,33 +393,14 @@ class SetAssociativeCache:
         line.pc = pc
         line.ready_cycle = ready_cycle
         line.fill_time = now
-        self._tag_maps[set_index][tag] = way
-        self.policy.on_fill(set_index, way, pc)
-        return victim_info
-
-    def _candidate_ways(self, set_index: int):
-        """Ways eligible to hold data; the partitioned L3 narrows this.
-
-        Returns a shared tuple — callers must not mutate it (none do).
-        """
-
-        return self._all_ways
-
-    def _choose_victim(self, set_index: int) -> tuple[int, EvictionInfo | None]:
-        candidates = self._candidate_ways(set_index)
-        # Valid lines always live within the candidate ways (the partitioned
-        # L3 evicts data out of ways it reserves), so the tag map's size says
-        # whether an invalid way exists at all — a full set, the steady
-        # state, skips the scan entirely.
-        if len(self._tag_maps[set_index]) < len(candidates):
-            ways = self._sets[set_index]
-            for way in candidates:
-                if not ways[way].valid:
-                    return way, None
-        way = self.policy.victim(set_index, candidates)
-        return way, self._evict(set_index, way)
+        tag_map[tag] = way
+        policy.on_fill(set_index, way, pc)
+        return info
 
     def _evict(self, set_index: int, way: int) -> EvictionInfo:
+        """Evict ``way`` outside a fill (partition growth); same records as
+        the eviction :meth:`fill` performs inline."""
+
         line = self._sets[set_index][way]
         stats = self.stats
         address = (line.tag * self.num_sets + set_index) * self.line_size

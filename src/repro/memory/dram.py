@@ -97,11 +97,14 @@ class DramModel:
     def access(
         self,
         now: float,
-        *,
         is_write: bool = False,
         is_prefetch: bool = False,
     ) -> float:
-        """Record an access starting at ``now``; return its total latency."""
+        """Record an access starting at ``now``; return its total latency.
+
+        The flags may be passed positionally: the hierarchy's miss path does,
+        to skip keyword-argument matching on every DRAM access.
+        """
 
         wait = max(0.0, self._next_free_cycle - now)
         start = now + wait

@@ -81,9 +81,18 @@ class HawkEyePredictor:
         self.maximum = (1 << counter_bits) - 1
         self.table_size = table_size
         self._counters: defaultdict[int, int] = defaultdict(lambda: self.maximum // 2 + 1)
+        # pc → counter index is pure; memoised with a cap like the training
+        # tables' PC memos (every fill, hit and eviction consults it).
+        self._index_memo: dict[int, int] = {}
+        self._index_memo_cap = 16 * table_size
 
     def _index(self, pc: int) -> int:
-        return mix64(pc) % self.table_size
+        index = self._index_memo.get(pc)
+        if index is None:
+            index = mix64(pc) % self.table_size
+            if len(self._index_memo) < self._index_memo_cap:
+                self._index_memo[pc] = index
+        return index
 
     def train(self, pc: int, opt_hit: bool) -> None:
         index = self._index(pc)

@@ -26,10 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.address import line_address
+from repro.memory.address import CACHE_LINE_SIZE, line_address
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import DramModel
 from repro.memory.partitioned_cache import PartitionedCache
+
+# Line alignment exactly as line_address() does it (the global
+# CACHE_LINE_SIZE, not the hierarchy's configured line size).
+_LINE_MASK = ~(CACHE_LINE_SIZE - 1)
 
 
 @dataclass
@@ -253,7 +257,7 @@ class MemoryHierarchy:
             out.late_prefetch_stall = 0.0
             return out
 
-        dram_latency = self.dram.access(now + base_latency, is_write=False)
+        dram_latency = self.dram.access(now + base_latency)
         self._fill_l3(line, pc, is_write, now)
         self._fill_l2(line, pc, is_write, now)
         self._fill_l1(line, pc, is_write, now)
@@ -293,7 +297,8 @@ class MemoryHierarchy:
         """
 
         p = self.params
-        line = line_address(address)
+        # line_address() inlined; this runs once per prefetch decision.
+        line = address & _LINE_MASK
         target = self.l2 if target_level == "l2" else self.l1d
         if target.probe(line):
             if out is None:
@@ -307,25 +312,26 @@ class MemoryHierarchy:
             return out
 
         self.stats.l3_data_accesses += 1
-        if self.l3.probe(line):
+        l3 = self.l3
+        l3_latency = p.l3_latency
+        if l3.probe(line):
             # Touch replacement state so the L3 knows the line is live.
-            self.l3.access(line, pc, False, now)
-            latency = extra_latency + p.l3_latency
+            l3.access(line, pc, False, now)
+            latency = extra_latency + l3_latency
             from_dram = False
         else:
-            dram_latency = self.dram.access(
-                now + extra_latency + p.l3_latency, is_prefetch=True
-            )
-            latency = extra_latency + p.l3_latency + dram_latency
+            dram = self.dram
+            dram_latency = dram.access(now + extra_latency + l3_latency, False, True)
+            latency = extra_latency + l3_latency + dram_latency
             from_dram = True
-            self._fill_l3(line, pc, False, now)
+            victim = l3.fill(line, pc, False, False, 0.0, now)
+            if victim is not None and victim.dirty:
+                dram.access(now, True)
 
         ready = now + latency
-        if target_level == "l2":
-            self._fill_l2(line, pc, False, now, prefetched=True, ready_cycle=ready)
-        else:
-            self._fill_l1(line, pc, False, now, prefetched=True, ready_cycle=ready)
-            self._fill_l2(line, pc, False, now, prefetched=True, ready_cycle=ready)
+        if target_level != "l2":
+            self._fill_l1(line, pc, False, now, True, ready)
+        self._fill_l2(line, pc, False, now, True, ready)
         if out is None:
             return PrefetchFillResult(
                 already_present=False,
@@ -381,12 +387,11 @@ class MemoryHierarchy:
         prefetched: bool = False,
         ready_cycle: float = 0.0,
     ) -> None:
-        victim = self.l1d.fill(
-            line, pc, is_write, prefetched=prefetched, ready_cycle=ready_cycle, now=now
-        )
+        victim = self.l1d.fill(line, pc, is_write, prefetched, ready_cycle, now)
         if victim is not None and victim.dirty:
-            if not self.l2.mark_dirty(victim.address):
-                self.l2.fill(victim.address, victim.pc, is_write=True, now=now)
+            l2 = self.l2
+            if not l2.mark_dirty(victim.address):
+                l2.fill(victim.address, victim.pc, True, False, 0.0, now)
 
     def _fill_l2(
         self,
@@ -398,9 +403,7 @@ class MemoryHierarchy:
         ready_cycle: float = 0.0,
     ) -> None:
         self.l2_fill_count += 1
-        victim = self.l2.fill(
-            line, pc, is_write, prefetched=prefetched, ready_cycle=ready_cycle, now=now
-        )
+        victim = self.l2.fill(line, pc, is_write, prefetched, ready_cycle, now)
         if victim is not None and victim.dirty:
             if not self.l3.mark_dirty(victim.address):
                 self._fill_l3(victim.address, victim.pc, True, now)
@@ -408,9 +411,9 @@ class MemoryHierarchy:
     def _fill_l3(
         self, line: int, pc: int | None, is_write: bool, now: float
     ) -> None:
-        victim = self.l3.fill(line, pc, is_write, now=now)
+        victim = self.l3.fill(line, pc, is_write, False, 0.0, now)
         if victim is not None and victim.dirty:
-            self.dram.access(now, is_write=True)
+            self.dram.access(now, True)
 
     def reset_stats(self) -> None:
         """Clear every statistics counter (cache contents are preserved)."""

@@ -99,12 +99,10 @@ class PartitionedCache(SetAssociativeCache):
                         )
             self.lines_displaced_by_partition += len(displaced)
         self._reserved_ways = ways
+        # Data placement restriction: fills choose victims among these.
+        self._data_ways = tuple(range(self.assoc - ways))
         self.partition_resizes += 1
         return displaced
-
-    # -- data placement restriction -----------------------------------------
-    def _candidate_ways(self, set_index: int) -> list[int]:
-        return list(range(self.assoc - self._reserved_ways))
 
     @property
     def reserved_capacity_bytes(self) -> int:

@@ -66,15 +66,14 @@ class LRUPolicy(ReplacementPolicy):
         self._stamp = 0
         self._last_use = [[-1] * assoc for _ in range(num_sets)]
 
-    def _touch(self, set_index: int, way: int) -> None:
+    def on_hit(self, set_index: int, way: int, pc: int | None = None) -> None:
         self._stamp += 1
         self._last_use[set_index][way] = self._stamp
 
-    def on_fill(self, set_index: int, way: int, pc: int | None = None) -> None:
-        self._touch(set_index, way)
-
-    def on_hit(self, set_index: int, way: int, pc: int | None = None) -> None:
-        self._touch(set_index, way)
+    # Fills and explicit touches stamp exactly like hits; one function
+    # (no on_fill → _touch call chain on every L2/L3 fill).
+    on_fill = on_hit
+    _touch = on_hit
 
     def victim(self, set_index: int, candidates: Sequence[int]) -> int:
         # Manual scan (not min(key=...)): victim selection runs once per
@@ -213,7 +212,8 @@ class TreePLRUPolicy(ReplacementPolicy):
         return self._lru.victim(set_index, candidates)
 
     def on_invalidate(self, set_index: int, way: int) -> None:
-        self._lru.on_invalidate(set_index, way)
+        # LRUPolicy.on_invalidate, written out: runs on every L1 eviction.
+        self._lru._last_use[set_index][way] = -1
 
 
 class SRRIPPolicy(ReplacementPolicy):

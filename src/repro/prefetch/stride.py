@@ -15,10 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.address import CACHE_LINE_SIZE, line_address
+from repro.memory.address import CACHE_LINE_SIZE
 from repro.memory.hierarchy import DemandResult
 from repro.prefetch.base import DecisionBuffer, Prefetcher
 from repro.utils.hashing import mix64
+
+# line_address() as a mask, applied once per candidate prefetch.
+_LINE_MASK = ~(CACHE_LINE_SIZE - 1)
 
 
 @dataclass(slots=True)
@@ -127,7 +130,7 @@ class StridePrefetcher(Prefetcher):
         target_level = self.target_level
         entry_stride = entry.stride
         for distance in range(1, self.degree + 1):
-            target = line_address(line_addr + entry_stride * distance)
+            target = (line_addr + entry_stride * distance) & _LINE_MASK
             if target < 0:
                 break
             if l1d is not None and l1d.probe(target):

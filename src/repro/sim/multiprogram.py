@@ -204,15 +204,19 @@ class MultiProgramSimulator:
             for name in names
         ]
         finished = [False] * len(traces)
+        unfinished = len(traces)
         warmed_up = warmup_accesses_per_core <= 0
-        while not all(finished):
-            if not warmed_up and all(
-                per_core.accesses >= warmup_accesses_per_core or finished[core]
-                for core, per_core in enumerate(warmup_stats)
-            ):
-                for simulator in self.simulators:
-                    simulator._begin_sampling()
-                warmed_up = True
+        while unfinished:
+            if not warmed_up:
+                # Sampling begins once every unfinished core is warm (a
+                # plain loop: this check runs once per round until then).
+                for core, per_core in enumerate(warmup_stats):
+                    if per_core.accesses < warmup_accesses_per_core and not finished[core]:
+                        break
+                else:
+                    for simulator in self.simulators:
+                        simulator._begin_sampling()
+                    warmed_up = True
             active_stats = stats if warmed_up else warmup_stats
             for core in range(len(traces)):
                 if finished[core]:
@@ -223,12 +227,14 @@ class MultiProgramSimulator:
                     and stats[core].accesses >= max_accesses_per_core
                 ):
                     finished[core] = True
+                    unfinished -= 1
                     continue
                 if fast:
                     cols = columns[core]
                     position = positions[core]
                     if position >= cols.length:
                         finished[core] = True
+                        unfinished -= 1
                         continue
                     positions[core] = position + 1
                     step_fast(
@@ -244,6 +250,7 @@ class MultiProgramSimulator:
                         access = next(iterators[core])
                     except StopIteration:
                         finished[core] = True
+                        unfinished -= 1
                         continue
                     self.simulators[core].step(access, active_stats[core])
 

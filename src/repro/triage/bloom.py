@@ -29,9 +29,11 @@ class BloomFilter:
         self.hashes = hashes
         self._array = bytearray(bits)
         self.inserted = 0
+        # One salt per hash function, multiplied out once.
+        self._salts = tuple(salt * 0x9E3779B97F4A7C15 for salt in range(1, hashes + 1))
 
     def _positions(self, value: int) -> list[int]:
-        return [mix64(value ^ (salt * 0x9E3779B97F4A7C15)) % self.bits for salt in range(1, self.hashes + 1)]
+        return [mix64(value ^ salt) % self.bits for salt in self._salts]
 
     def contains(self, value: int) -> bool:
         return all(self._array[position] for position in self._positions(value))
@@ -39,10 +41,17 @@ class BloomFilter:
     def insert(self, value: int) -> bool:
         """Insert ``value``; return ``True`` if it was (probably) new."""
 
-        positions = self._positions(value)
-        new = not all(self._array[position] for position in positions)
-        for position in positions:
-            self._array[position] = 1
+        # Test and set in one pass: a value is new when any of its bits was
+        # clear (a bit repeated among its positions is clear only the first
+        # time, which already made it new).
+        array = self._array
+        bits = self.bits
+        new = False
+        for salt in self._salts:
+            position = mix64(value ^ salt) % bits
+            if not array[position]:
+                array[position] = 1
+                new = True
         if new:
             self.inserted += 1
         return new

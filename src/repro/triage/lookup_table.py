@@ -97,25 +97,34 @@ class LookupTable:
         why stale decodes turn into wrong prefetches.
         """
 
-        existing = self.find_index(value)
-        if existing is not None:
-            return existing, self._slots[existing].generation
-        set_index = self._set_for_value(value)
-        ways = list(self._ways_of_set(set_index))
+        # find_index() and the victim scan fused into one pass over the set
+        # (the reverse lookup's stats and recency update are unchanged).
+        stats = self.stats
+        stats.lookups += 1
+        self._clock += 1
+        slots = self._slots
+        base = (mix64(value) % self.num_sets) * self.assoc
         victim_index = None
-        for slot_index in ways:
-            if not self._slots[slot_index].valid:
+        for slot_index in range(base, base + self.assoc):
+            slot = slots[slot_index]
+            if slot.valid:
+                if slot.value == value:
+                    slot.last_use = self._clock
+                    stats.reverse_hits += 1
+                    return slot_index, slot.generation
+            elif victim_index is None:
                 victim_index = slot_index
-                break
         if victim_index is None:
-            victim_index = min(ways, key=lambda idx: self._slots[idx].last_use)
-            self.stats.replacements += 1
+            victim_index = min(
+                range(base, base + self.assoc), key=lambda idx: slots[idx].last_use
+            )
+            stats.replacements += 1
         slot = self._slots[victim_index]
         slot.valid = True
         slot.value = value
         slot.generation += 1
         slot.last_use = self._clock
-        self.stats.inserts += 1
+        stats.inserts += 1
         return victim_index, slot.generation
 
     def value_at(self, slot_index: int, expected_generation: int | None = None) -> int | None:

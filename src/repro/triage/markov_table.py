@@ -104,6 +104,10 @@ class MarkovTable:
         )
         self._indexing_ways = [initial_ways] * l3_sets
         self._ways = initial_ways
+        #: Valid entries across the table, kept in step with every valid
+        #: flag change so :meth:`occupancy` is O(1).
+        self._valid_count = 0
+        self._all_slots = tuple(range(self.entries_per_line))
         self.stats = MarkovStats()
 
     # -- geometry -------------------------------------------------------------
@@ -181,11 +185,13 @@ class MarkovTable:
         self._indexing_ways[set_index] = self._ways
         if self._ways == 0:
             self.stats.entries_dropped_on_rearrange += len(survivors)
+            self._valid_count -= len(survivors)
             return
         for entry in survivors:
             placed = self._place_rearranged(set_index, entry)
             if not placed:
                 self.stats.entries_dropped_on_rearrange += 1
+                self._valid_count -= 1
 
     def _place_rearranged(self, set_index: int, entry: MarkovEntry) -> bool:
         way = self._sub_set(entry.tag)
@@ -201,18 +207,23 @@ class MarkovTable:
     def lookup(self, line_address: int) -> int | None:
         """Return the decoded prefetch target trained for ``line_address``."""
 
-        self.stats.lookups += 1
-        if self._ways == 0:
+        stats = self.stats
+        stats.lookups += 1
+        ways = self._ways
+        if ways == 0:
             return None
-        set_index, tag = self.locate(line_address)
-        self._maybe_rearrange(set_index)
-        way = self._sub_set(tag)
-        line = self._lines[set_index][way]
-        policy_set = self._policy_set(set_index, way)
-        for slot, entry in enumerate(line):
+        # locate(), _sub_set() and _policy_set() written out inline: this
+        # runs once per chained prefetch step.
+        line_number = line_address >> CACHE_LINE_BITS
+        set_index = line_number % self.l3_sets
+        tag = fold_hash(line_number // self.l3_sets, self.tag_bits)
+        if self._indexing_ways[set_index] != ways:
+            self._maybe_rearrange(set_index)
+        way = tag % ways
+        for slot, entry in enumerate(self._lines[set_index][way]):
             if entry.valid and entry.tag == tag:
-                self.stats.hits += 1
-                self._policy.on_hit(policy_set, slot, entry.pc)
+                stats.hits += 1
+                self._policy.on_hit(set_index * self.max_ways + way, slot, entry.pc)
                 if entry.target is None:
                     return None
                 return self.format.decode(entry.target)
@@ -243,14 +254,20 @@ class MarkovTable:
         with the same target sets the bit.
         """
 
-        self.stats.trains += 1
-        if self._ways == 0:
+        stats = self.stats
+        stats.trains += 1
+        ways = self._ways
+        if ways == 0:
             return TrainOutcome(action="dropped")
-        set_index, tag = self.locate(index_line_address)
-        self._maybe_rearrange(set_index)
-        way = self._sub_set(tag)
+        # Address decomposition inlined as in lookup().
+        line_number = index_line_address >> CACHE_LINE_BITS
+        set_index = line_number % self.l3_sets
+        tag = fold_hash(line_number // self.l3_sets, self.tag_bits)
+        if self._indexing_ways[set_index] != ways:
+            self._maybe_rearrange(set_index)
+        way = tag % ways
         line = self._lines[set_index][way]
-        policy_set = self._policy_set(set_index, way)
+        policy_set = set_index * self.max_ways + way
 
         for slot, entry in enumerate(line):
             if entry.valid and entry.tag == tag:
@@ -261,18 +278,18 @@ class MarkovTable:
                 if existing_target == target_line_address:
                     if not entry.confidence:
                         entry.confidence = True
-                        self.stats.confidence_promotions += 1
+                        stats.confidence_promotions += 1
                         return TrainOutcome(action="confirmed")
                     return TrainOutcome(action="unchanged")
                 if entry.confidence:
                     # Keep the confident target, but a contradiction clears
                     # the bit so persistent change eventually wins.
                     entry.confidence = False
-                    self.stats.replacements_blocked_by_confidence += 1
+                    stats.replacements_blocked_by_confidence += 1
                     return TrainOutcome(action="blocked")
                 entry.target = self.format.encode(target_line_address)
                 entry.pc = pc
-                self.stats.target_replacements += 1
+                stats.target_replacements += 1
                 return TrainOutcome(action="replaced")
 
         # No entry for this index yet: insert, evicting if the line is full.
@@ -283,11 +300,11 @@ class MarkovTable:
                 break
         evicted_tag = None
         if victim_slot is None:
-            victim_slot = self._policy.victim(
-                policy_set, list(range(self.entries_per_line))
-            )
+            victim_slot = self._policy.victim(policy_set, self._all_slots)
             evicted_tag = line[victim_slot].tag
-            self.stats.evictions += 1
+            stats.evictions += 1
+        else:
+            self._valid_count += 1
         entry = line[victim_slot]
         entry.valid = True
         entry.tag = tag
@@ -295,17 +312,11 @@ class MarkovTable:
         entry.confidence = False
         entry.pc = pc
         self._policy.on_fill(policy_set, victim_slot, pc)
-        self.stats.inserts += 1
+        stats.inserts += 1
         return TrainOutcome(action="inserted", evicted_tag=evicted_tag)
 
     # -- diagnostics ----------------------------------------------------------------
     def occupancy(self) -> int:
-        """Number of valid entries currently stored."""
+        """Number of valid entries currently stored (O(1): a running count)."""
 
-        count = 0
-        for per_set in self._lines:
-            for line in per_set:
-                for entry in line:
-                    if entry.valid:
-                        count += 1
-        return count
+        return self._valid_count

@@ -76,9 +76,17 @@ class TriageTrainingTable:
         ]
         self._clock = 0
         self.stats = TrainingTableStats()
+        # Bounded PC -> (set, tag) memo (see TriangelTrainingTable).
+        self._locate_memo: dict[int, tuple[int, int]] = {}
+        self._locate_memo_cap = 16 * entries
 
     def _locate(self, pc: int) -> tuple[int, int]:
-        return mix64(pc) % self.num_sets, fold_hash(pc, self.pc_tag_bits)
+        located = self._locate_memo.get(pc)
+        if located is None:
+            located = mix64(pc) % self.num_sets, fold_hash(pc, self.pc_tag_bits)
+            if len(self._locate_memo) < self._locate_memo_cap:
+                self._locate_memo[pc] = located
+        return located
 
     def find(self, pc: int) -> TriageTrainingEntry | None:
         """Return the entry for ``pc`` if present (updates recency)."""
@@ -96,11 +104,17 @@ class TriageTrainingTable:
     def find_or_allocate(self, pc: int) -> tuple[TriageTrainingEntry, bool]:
         """Return ``(entry, allocated)``; evicts the LRU entry when needed."""
 
-        entry = self.find(pc)
-        if entry is not None:
-            return entry, False
-        set_index, tag = self._locate(pc)
+        # find() written out inline, so the PC is located once.
+        stats = self.stats
+        stats.lookups += 1
+        self._clock += 1
+        set_index, tag = self._locate_memo.get(pc) or self._locate(pc)
         ways = self._sets[set_index]
+        for entry in ways:
+            if entry.valid and entry.pc_tag == tag:
+                entry.last_use = self._clock
+                stats.hits += 1
+                return entry, False
         victim = None
         for candidate in ways:
             if not candidate.valid:
@@ -108,10 +122,10 @@ class TriageTrainingTable:
                 break
         if victim is None:
             victim = min(ways, key=lambda candidate: candidate.last_use)
-            self.stats.evictions += 1
+            stats.evictions += 1
         victim.valid = True
         victim.pc_tag = tag
         victim.last_addresses = []
         victim.last_use = self._clock
-        self.stats.allocations += 1
+        stats.allocations += 1
         return victim, True

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memory.cache import SetAssociativeCache
+from repro.memory.replacement import LRUPolicy
 
 
 def make_cache(size=1024, assoc=2, policy="lru"):
@@ -129,6 +130,92 @@ class TestPrefetchTagging:
         cache.fill(0x40, prefetched=True, ready_cycle=100.0)
         cache.fill(0x40)  # racing demand fill
         assert cache.access(0x40).first_prefetch_use
+
+
+class _SpyPolicy(LRUPolicy):
+    """LRU that records the order of the calls a fill makes."""
+
+    def __init__(self, num_sets, assoc):
+        super().__init__(num_sets, assoc)
+        self.calls = []
+
+    def victim(self, set_index, candidates):
+        way = super().victim(set_index, candidates)
+        self.calls.append(("victim", set_index, way))
+        return way
+
+    def on_invalidate(self, set_index, way):
+        self.calls.append(("on_invalidate", set_index, way))
+        super().on_invalidate(set_index, way)
+
+    def on_fill(self, set_index, way, pc=None):
+        self.calls.append(("on_fill", set_index, way))
+        super().on_fill(set_index, way, pc)
+
+    def on_hit(self, set_index, way, pc=None):
+        self.calls.append(("on_hit", set_index, way))
+        super().on_hit(set_index, way, pc)
+
+
+class TestFusedFill:
+    """The fill path chooses and evicts its victim inline; these pin the
+    records and the policy call order it must keep."""
+
+    def test_evicting_dirty_unused_prefetch_reports_everything(self):
+        cache = make_cache(size=256, assoc=1)  # 4 sets, direct-mapped
+        stride = cache.num_sets * 64
+        cache.fill(0x40, pc=0x1234, is_write=True, prefetched=True, ready_cycle=7.0)
+        victim = cache.fill(0x40 + stride, pc=0x99)
+        assert victim is cache._scratch_eviction
+        assert victim.address == 0x40
+        assert victim.dirty
+        assert victim.prefetched_unused
+        assert victim.pc == 0x1234
+        assert cache.stats.writebacks == 1
+        assert cache.stats.prefetched_evicted_unused == 1
+        assert cache.stats.prefetch_fills == 1
+        line = cache.get_line(0x40 + stride)
+        assert (line.valid, line.dirty, line.prefetched, line.used_since_prefetch) == (
+            True, False, False, False,
+        )
+        assert (line.pc, line.ready_cycle) == (0x99, 0.0)
+        assert not cache.probe(0x40)
+
+    def test_refill_of_resident_line_evicts_nothing(self):
+        cache = make_cache(size=256, assoc=2)
+        stride = cache.num_sets * 64
+        cache.fill(0x0)
+        cache.fill(stride)  # the set is now full
+        before = cache.stats.writebacks, cache.stats.prefetched_evicted_unused
+        assert cache.fill(0x0, is_write=True, prefetched=True) is None
+        assert cache.fill(stride) is None
+        assert sorted(cache.resident_line_addresses()) == [0x0, stride]
+        assert (cache.stats.writebacks, cache.stats.prefetched_evicted_unused) == before
+        assert cache.get_line(0x0).dirty
+
+    def test_policy_sees_victim_then_invalidate_then_fill(self):
+        spy = _SpyPolicy(2, 2)
+        cache = SetAssociativeCache("spy", 256, 2, 64, spy)  # 2 sets
+        stride = cache.num_sets * 64
+        cache.fill(0x0)
+        cache.fill(stride)
+        cache.fill(0x0)  # resident: a hit, no eviction
+        spy.calls.clear()
+        cache.fill(2 * stride)
+        assert spy.calls == [
+            ("victim", 0, 1),
+            ("on_invalidate", 0, 1),
+            ("on_fill", 0, 1),
+        ]
+
+    def test_fill_into_invalid_way_skips_the_policy_victim(self):
+        spy = _SpyPolicy(4, 2)
+        cache = SetAssociativeCache("spy", 512, 2, 64, spy)
+        cache.fill(0x0)
+        cache.invalidate(0x0)
+        spy.calls.clear()
+        assert cache.fill(cache.num_sets * 64) is None
+        assert spy.calls == [("on_fill", 0, 0)]
 
 
 class TestStats:

@@ -68,3 +68,32 @@ class TestDataPlacementRestriction:
         stride = l3.num_sets * 64
         evictions = sum(1 for i in range(8) if l3.fill(i * stride) is not None)
         assert evictions == 0
+
+
+class TestResizeRebuildsDataWays:
+    def test_fills_never_land_in_reserved_ways_across_resizes(self):
+        l3 = make_l3(size=2048, assoc=8, max_reserved=4)  # 4 sets
+        lines = iter(range(0, 10_000 * 64, 64))
+        for reserved in (3, 1, 4, 0, 2):
+            l3.set_reserved_ways(reserved)
+            data_ways = l3.assoc - reserved
+            for _ in range(6 * l3.capacity_lines):
+                l3.fill(next(lines))
+            for set_index, ways in enumerate(l3._sets):
+                for way, line in enumerate(ways):
+                    if way >= data_ways:
+                        assert not line.valid, (reserved, set_index, way)
+            assert len(l3.resident_line_addresses()) == l3.num_sets * data_ways
+
+    def test_grow_shrink_grow_keeps_reserved_ways_empty(self):
+        l3 = make_l3(size=1024, assoc=8, max_reserved=4)  # 2 sets
+        stride = l3.num_sets * 64
+        l3.set_reserved_ways(4)
+        l3.set_reserved_ways(1)
+        for index in range(7):
+            l3.fill(index * stride)
+        assert l3._sets[0][6].valid  # the shrink re-opened way 6
+        l3.set_reserved_ways(2)
+        for index in range(7, 40):
+            l3.fill(index * stride)
+            assert not l3._sets[0][6].valid and not l3._sets[0][7].valid
