@@ -58,6 +58,10 @@ class SecondChanceSampler:
         #: when empty): until the fill count passes it by more than the
         #: window, nothing can expire and the scan is skipped.
         self._oldest_fill: float = float("inf")
+        #: The valid entries by ``(address, train_idx)`` — unique, since a
+        #: repeated insert refreshes the pending entry — so a check, made
+        #: on every Triangel trigger, is one dict probe, not a scan.
+        self._pending: dict[tuple[int, int], SecondChanceEntry] = {}
         self.stats = SecondChanceStats()
 
     def insert(self, address: int, train_idx: int, fill_count: int) -> SecondChanceOutcome | None:
@@ -70,21 +74,26 @@ class SecondChanceSampler:
         if fill_count < self._oldest_fill:
             self._oldest_fill = fill_count
 
+        key = (address, train_idx)
+        pending = self._pending.get(key)
+        if pending is not None:
+            # Already pending: refresh the window start.
+            pending.fill_count = fill_count
+            pending.insert_order = self._order
+            return None
         slot = None
         for entry in self._entries:
-            if entry.valid and entry.address == address and entry.train_idx == train_idx:
-                # Already pending: refresh the window start.
-                entry.fill_count = fill_count
-                entry.insert_order = self._order
-                return None
-            if slot is None and not entry.valid:
+            if not entry.valid:
                 slot = entry
+                break
         if slot is None:
             slot = min(
                 (entry for entry in self._entries), key=lambda entry: entry.insert_order
             )
             self.stats.evicted_unmatched += 1
             forced = SecondChanceOutcome(within_window=False, train_idx=slot.train_idx)
+            del self._pending[(slot.address, slot.train_idx)]
+        self._pending[key] = slot
         slot.valid = True
         slot.address = address
         slot.train_idx = train_idx
@@ -102,16 +111,16 @@ class SecondChanceSampler:
         issued back then would still have been resident and useful).
         """
 
-        for entry in self._entries:
-            if entry.valid and entry.address == address and entry.train_idx == train_idx:
-                entry.valid = False
-                within = (current_fill_count - entry.fill_count) <= self.window_fills
-                if within:
-                    self.stats.matches_in_window += 1
-                else:
-                    self.stats.matches_out_of_window += 1
-                return SecondChanceOutcome(within_window=within, train_idx=train_idx)
-        return None
+        entry = self._pending.pop((address, train_idx), None)
+        if entry is None:
+            return None
+        entry.valid = False
+        within = (current_fill_count - entry.fill_count) <= self.window_fills
+        if within:
+            self.stats.matches_in_window += 1
+        else:
+            self.stats.matches_out_of_window += 1
+        return SecondChanceOutcome(within_window=within, train_idx=train_idx)
 
     def expire_older_than(self, current_fill_count: int) -> list[SecondChanceOutcome]:
         """Retire entries whose window has passed without being matched.
@@ -128,6 +137,7 @@ class SecondChanceSampler:
             if entry.valid:
                 if current_fill_count - entry.fill_count > self.window_fills:
                     entry.valid = False
+                    del self._pending[(entry.address, entry.train_idx)]
                     self.stats.evicted_unmatched += 1
                     outcomes.append(
                         SecondChanceOutcome(within_window=False, train_idx=entry.train_idx)

@@ -84,8 +84,8 @@ class TriangelTrainingTable:
         self._clock = 0
         self.stats = TriangelTrainingStats()
         # PC -> (set, tag) is a pure function of the geometry; memoise it
-        # (bounded, like the stride prefetcher's entry memo) so a trigger
-        # hashes its PC once per run rather than twice per access.
+        # (bounded, like the stride prefetcher's entry memo) so each PC is
+        # hashed once, not on every trigger.
         self._locate_memo: dict[int, tuple[int, int]] = {}
         self._locate_memo_cap = 16 * self.entries
 
@@ -158,7 +158,7 @@ class TriangelTrainingTable:
         stats = self.stats
         stats.lookups += 1
         self._clock += 1
-        set_index, tag = self._locate_memo.get(pc) or self._locate(pc)
+        set_index, tag = self._locate(pc)
         ways = self._sets[set_index]
         for way, entry in enumerate(ways):
             if entry.valid and entry.pc_tag == tag:

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.memory.address import CACHE_LINE_SIZE, line_address
+from repro.memory.address import CACHE_LINE_SIZE
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import DramModel
 from repro.memory.partitioned_cache import PartitionedCache
 
-# Line alignment exactly as line_address() does it (the global
-# CACHE_LINE_SIZE, not the hierarchy's configured line size).
+# Line alignment exactly as memory.address.line_address() does it (the
+# global CACHE_LINE_SIZE, not the hierarchy's configured line size).
 _LINE_MASK = ~(CACHE_LINE_SIZE - 1)
 
 
@@ -161,7 +161,7 @@ class MemoryHierarchy:
         allocation-free path); otherwise a fresh result is allocated.
         """
 
-        line = line_address(address)
+        line = address & _LINE_MASK
         self.stats.demand_accesses += 1
 
         l1_outcome = self.l1d.access(line, pc, is_write, now)
@@ -297,7 +297,6 @@ class MemoryHierarchy:
         """
 
         p = self.params
-        # line_address() inlined; this runs once per prefetch decision.
         line = address & _LINE_MASK
         target = self.l2 if target_level == "l2" else self.l1d
         if target.probe(line):
@@ -331,7 +330,11 @@ class MemoryHierarchy:
         ready = now + latency
         if target_level != "l2":
             self._fill_l1(line, pc, False, now, True, ready)
-        self._fill_l2(line, pc, False, now, True, ready)
+        # _fill_l2, written out: every installed prefetch fills the L2.
+        self.l2_fill_count += 1
+        victim = self.l2.fill(line, pc, False, True, ready, now)
+        if victim is not None and victim.dirty and not l3.mark_dirty(victim.address):
+            self._fill_l3(victim.address, victim.pc, True, now)
         if out is None:
             return PrefetchFillResult(
                 already_present=False,

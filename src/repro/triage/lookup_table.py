@@ -119,7 +119,7 @@ class LookupTable:
                 range(base, base + self.assoc), key=lambda idx: slots[idx].last_use
             )
             stats.replacements += 1
-        slot = self._slots[victim_index]
+        slot = slots[victim_index]
         slot.valid = True
         slot.value = value
         slot.generation += 1

@@ -108,7 +108,7 @@ class TriageTrainingTable:
         stats = self.stats
         stats.lookups += 1
         self._clock += 1
-        set_index, tag = self._locate_memo.get(pc) or self._locate(pc)
+        set_index, tag = self._locate(pc)
         ways = self._sets[set_index]
         for entry in ways:
             if entry.valid and entry.pc_tag == tag:

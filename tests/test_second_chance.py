@@ -72,3 +72,73 @@ class TestCapacityAndExpiry:
         scs.check(0x2000, 1, 400)
         assert scs.stats.matches_in_window == 1
         assert scs.stats.matches_out_of_window == 1
+
+
+class _ScanModel:
+    """The sampler's behaviour spelled as plain scans over every slot."""
+
+    def __init__(self, entries, window_fills):
+        self.window = window_fills
+        self.slots = [None] * entries  # [address, train_idx, fill, order]
+        self.order = 0
+
+    def insert(self, address, train_idx, fill):
+        self.order += 1
+        for slot in self.slots:
+            if slot is not None and slot[:2] == [address, train_idx]:
+                slot[2:] = [fill, self.order]
+                return None
+        forced = None
+        if None in self.slots:
+            index = self.slots.index(None)
+        else:
+            index = min(range(len(self.slots)), key=lambda i: self.slots[i][3])
+            forced = (False, self.slots[index][1])
+        self.slots[index] = [address, train_idx, fill, self.order]
+        return forced
+
+    def check(self, address, train_idx, fill):
+        for index, slot in enumerate(self.slots):
+            if slot is not None and slot[:2] == [address, train_idx]:
+                self.slots[index] = None
+                return (fill - slot[2] <= self.window, train_idx)
+        return None
+
+    def expire(self, fill):
+        expired = []
+        for index, slot in enumerate(self.slots):
+            if slot is not None and fill - slot[2] > self.window:
+                self.slots[index] = None
+                expired.append((False, slot[1]))
+        return expired
+
+
+class TestAgainstScanModel:
+    def test_random_operations_match_a_full_scan(self):
+        import random
+
+        rng = random.Random(7)
+        scs = SecondChanceSampler(entries=8, window_fills=40)
+        model = _ScanModel(entries=8, window_fills=40)
+
+        def pair(outcome):
+            return None if outcome is None else (outcome.within_window, outcome.train_idx)
+
+        fill = 0
+        for step in range(4000):
+            # Mostly advancing fill counts, with an occasional reset (the
+            # hierarchy zeroes its L2 fill count when sampling begins).
+            fill = 0 if step % 997 == 0 else fill + rng.randrange(4)
+            address, train_idx = rng.randrange(12) * 64, rng.randrange(3)
+            op = rng.randrange(3)
+            if op == 0:
+                assert pair(scs.insert(address, train_idx, fill)) == model.insert(
+                    address, train_idx, fill
+                )
+            elif op == 1:
+                assert pair(scs.check(address, train_idx, fill)) == model.check(
+                    address, train_idx, fill
+                )
+            else:
+                assert [pair(o) for o in scs.expire_older_than(fill)] == model.expire(fill)
+            assert scs.occupancy() == sum(slot is not None for slot in model.slots)

@@ -50,3 +50,13 @@ class TestHistoryShiftRegister:
         table = TriageTrainingTable(entries=16, assoc=4)
         entry, _ = table.find_or_allocate(0x400)
         assert entry.history(1) is None
+
+
+class TestLocateMemo:
+    def test_memo_is_capped_and_never_changes_placement(self):
+        from repro.utils.hashing import fold_hash, mix64
+
+        table = TriageTrainingTable(entries=8, assoc=4)
+        for pc in range(0x400, 0x400 + 40 * 3 * 16 * 8, 40):  # 3x the cap
+            assert table._locate(pc) == (mix64(pc) % table.num_sets, fold_hash(pc, 10))
+        assert len(table._locate_memo) == table._locate_memo_cap == 16 * 8

@@ -76,3 +76,14 @@ class TestHistoryAndLookahead:
         entry, _, _ = table.find_or_allocate(0x400)
         assert entry.base_pattern_conf.decrement == 2
         assert entry.high_pattern_conf.decrement == 5
+
+
+class TestLocateMemo:
+    def test_memo_is_capped_and_never_changes_placement(self):
+        from repro.utils.hashing import fold_hash, mix64
+
+        table = make_table(entries=8, assoc=4)
+        bits = table.config.pc_tag_bits
+        for pc in range(0x400, 0x400 + 40 * 3 * 16 * 8, 40):  # 3x the cap
+            assert table._locate(pc) == (mix64(pc) % table.num_sets, fold_hash(pc, bits))
+        assert len(table._locate_memo) == table._locate_memo_cap == 16 * 8
