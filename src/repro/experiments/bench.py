@@ -7,12 +7,13 @@ run under the **reference** kernel (readable, object-per-access) and the
 :mod:`repro.sim.kernel`) — and records the result in ``BENCH_engine.json``,
 the repository's performance trajectory file.
 
-Two benchmark cases bracket the engine's operating range:
+Two kinds of benchmark case bracket the engine's operating range:
 
-* ``synthetic-xalan`` — the ``xalan`` synthetic workload under the full
-  Triangel stack, packed in memory at build time.  Fill- and
-  prefetch-heavy, so the shared cache model dominates; this is the
-  end-to-end figure-generation rate.
+* ``synthetic-xalan``, ``synthetic-mcf`` and ``synthetic-graph500_s16`` —
+  the miss-heavy synthetic workloads under the full Triangel stack, packed
+  in memory at build time.  Fill- and prefetch-heavy, so the shared cache
+  model and the temporal prefetcher dominate; this is the end-to-end
+  figure-generation rate.
 * ``replay-hot`` — a *recorded* ``.rtrc`` pointer-chase trace whose working
   set stays L1-resident after warm-up, replayed under the same Triangel
   stack.  With almost no cache-model work per access, the per-access engine
@@ -161,16 +162,32 @@ def _measure(
     return best, stats
 
 
+#: Miss-heavy synthetic workloads timed under Triangel, in case order.
+_SYNTHETIC_WORKLOADS = ("xalan", "mcf", "graph500_s16")
+
+
 def _bench_cases(length: int, trace_dir: Path) -> list[BenchCase]:
-    """Build the two benchmark streams (packing/recording is not timed)."""
+    """Build the benchmark streams (packing/recording is not timed)."""
 
     from repro.experiments.jobs import trace_for_workload
     from repro.traces.format import load_trace, pack_trace
     from repro.traces.recorder import record_workload
 
-    synthetic = pack_trace(
-        trace_for_workload("xalan", {"length": length}), name="xalan"
-    )
+    cases = [
+        BenchCase(
+            name=f"synthetic-{workload}",
+            workload=workload,
+            configuration="triangel",
+            description=(
+                "fill/prefetch-heavy synthetic workload, packed at build "
+                "time; end-to-end figure-generation rate"
+            ),
+            trace=pack_trace(
+                trace_for_workload(workload, {"length": length}), name=workload
+            ),
+        )
+        for workload in _SYNTHETIC_WORKLOADS
+    ]
     repeats = max(2, length // _HOT_CHAIN_LINES)
     recorded_path = record_workload(
         "pointer_chase",
@@ -178,18 +195,7 @@ def _bench_cases(length: int, trace_dir: Path) -> list[BenchCase]:
         name="bench_hot",
         overrides={"nodes": _HOT_CHAIN_LINES, "repeats": repeats},
     )
-    recorded = load_trace(recorded_path)
-    return [
-        BenchCase(
-            name="synthetic-xalan",
-            workload="xalan",
-            configuration="triangel",
-            description=(
-                "fill/prefetch-heavy synthetic workload, packed at build "
-                "time; end-to-end figure-generation rate"
-            ),
-            trace=synthetic,
-        ),
+    cases.append(
         BenchCase(
             name="replay-hot",
             workload="trace:bench_hot",
@@ -198,9 +204,10 @@ def _bench_cases(length: int, trace_dir: Path) -> list[BenchCase]:
                 "recorded .rtrc pointer chase, L1-resident after warm-up; "
                 "per-access engine overhead, the replay-rate ceiling"
             ),
-            trace=recorded,
-        ),
-    ]
+            trace=load_trace(recorded_path),
+        )
+    )
+    return cases
 
 
 def _measure_sharded(
@@ -460,12 +467,12 @@ def render_bench(record: dict) -> str:
     lines = [
         f"engine kernel benchmark ({record['python']}, "
         f"best of {record['repeats']}, parity-checked)",
-        f"{'case':<18} {'config':<10} {'accesses':>9} "
+        f"{'case':<24} {'config':<10} {'accesses':>9} "
         f"{'reference/s':>12} {'fast/s':>12} {'speedup':>8}",
     ]
     for case in kernel_cases:
         lines.append(
-            f"{case['name']:<18} {case['configuration']:<10} "
+            f"{case['name']:<24} {case['configuration']:<10} "
             f"{case['accesses']:>9} "
             f"{case['reference_accesses_per_second']:>12,} "
             f"{case['fast_accesses_per_second']:>12,} "

@@ -28,11 +28,13 @@ class TestRunBench:
         names = [case["name"] for case in record["cases"]]
         assert names == [
             "synthetic-xalan",
+            "synthetic-mcf",
+            "synthetic-graph500_s16",
             "replay-hot",
             "replay-hot-sharded-k2",
             "replay-hot-sharded-k4",
         ]
-        for case in record["cases"][:2]:
+        for case in record["cases"][:4]:
             assert case["parity"] is True
             assert case["accesses"] > 0
             assert case["reference_accesses_per_second"] > 0
@@ -42,7 +44,7 @@ class TestRunBench:
                 / case["reference_accesses_per_second"],
                 rel=0.01,
             )
-        assert record["packed_trace_speedup"] == record["cases"][1]["speedup"]
+        assert record["packed_trace_speedup"] == record["cases"][3]["speedup"]
 
     def test_sharded_cases_shape(self):
         record = small_record()
@@ -61,6 +63,8 @@ class TestRunBench:
         record = run_bench(length=600, repeats=1, shard_counts=())
         assert [case["name"] for case in record["cases"]] == [
             "synthetic-xalan",
+            "synthetic-mcf",
+            "synthetic-graph500_s16",
             "replay-hot",
         ]
 
@@ -89,6 +93,7 @@ class TestRunBench:
         record = small_record()
         rendered = render_bench(record)
         assert "synthetic-xalan" in rendered
+        assert "synthetic-graph500_s16" in rendered
         assert "replay-hot" in rendered
         assert "speedup" in rendered
 
@@ -112,7 +117,7 @@ class TestBenchCli:
         )
         assert code == 0
         record = json.loads(output.read_text())
-        assert [case["parity"] for case in record["cases"]] == [True] * 4
+        assert [case["parity"] for case in record["cases"]] == [True] * 6
         printed = capsys.readouterr().out
         assert "replay-hot" in printed
         assert str(output) in printed
