@@ -4,10 +4,10 @@ Everything the daemon exposes, as one small stdlib-only class::
 
     from repro.client import ServiceClient
 
-    client = ServiceClient("http://127.0.0.1:8642")
-    job = client.submit({"kind": "study", "name": "fig10"})
-    done = client.wait(job["id"])
-    result = client.result(job["id"])          # reduced tables + manifest
+    with ServiceClient("http://127.0.0.1:8642") as client:
+        job = client.submit({"kind": "study", "name": "fig10"})
+        done = client.wait(job["id"])
+        result = client.result(job["id"])      # reduced tables + manifest
 
 The ``repro submit|status|result|cancel`` CLI verbs are built on this
 class, so scripts and the command line see identical payloads.  The daemon
@@ -18,17 +18,23 @@ Errors surface as :class:`ServiceError`, carrying the HTTP status and the
 decoded error payload — a 400 is a validation problem in the submitted
 request (the server's message says what), a 404 an unknown job, a 409 a
 result fetched before completion, and a 429 the per-client quota.
+
+A client keeps one HTTP/1.1 connection per thread that uses it and reuses
+it for every call, so a submit → wait → result round trip pays for one TCP
+connect, not one per call.  Close it when done: ``client.close()``, or a
+``with`` block as above.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Mapping
+from urllib.parse import urlsplit
 
 #: Environment variable naming the daemon to talk to.
 SERVE_URL_ENV = "REPRO_SERVE_URL"
@@ -79,32 +85,96 @@ class ServiceClient:
         self.timeout = timeout
         #: ``{"polls", "elapsed_s"}`` for the most recent :meth:`wait` call.
         self.last_wait: dict | None = None
+        parts = urlsplit(self.url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(
+                f"daemon URL must look like http://host:port, got {self.url!r}"
+            )
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        #: (thread, connection) for every thread that has called the daemon.
+        self._connections: list[tuple] = []
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's connection (a later call reconnects)."""
+
+        with self._lock:
+            for _, connection in self._connections:
+                connection.close()
 
     # -- transport -----------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, created (unconnected) on first use."""
+
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._netloc, timeout=self.timeout)
+            self._local.connection = connection
+            with self._lock:
+                live = [(threading.current_thread(), connection)]
+                for thread, other in self._connections:
+                    if thread.is_alive():
+                        live.append((thread, other))
+                    else:  # an ended thread can no longer use its connection
+                        other.close()
+                self._connections = live
+        return connection
+
     def _request(self, method: str, path: str, body: Mapping | None = None) -> dict:
         headers = {"Content-Type": "application/json"}
         if self.client:
             headers["X-Repro-Client"] = self.client
-        request = urllib.request.Request(
-            self.url + path,
-            data=json.dumps(body).encode() if body is not None else None,
-            headers=headers,
-            method=method,
-        )
+        data = json.dumps(body).encode() if body is not None else None
+        connection = self._connection()
+        # A kept-alive connection the daemon has since closed (idle timeout,
+        # restart) fails before any status line arrives; the daemon never
+        # saw the request, so sending it once more on a fresh connection is
+        # safe even for a POST.
+        retry = connection.sock is not None
+        while True:
+            try:
+                connection.request(
+                    method, self._prefix + path, body=data, headers=headers
+                )
+                response = connection.getresponse()
+                break
+            except (ConnectionResetError, BrokenPipeError) as error:
+                # (http.client's RemoteDisconnected is a ConnectionResetError)
+                connection.close()
+                if not retry:
+                    raise self._unreachable(error) from None
+                retry = False
+            except (OSError, http.client.HTTPException) as error:
+                connection.close()
+                raise self._unreachable(error) from None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read() or b"{}")
-        except urllib.error.HTTPError as error:
-            raw = error.read()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            connection.close()
+            raise self._unreachable(error) from None
+        if response.status >= 400:
             try:
                 payload = json.loads(raw) if raw else {}
             except json.JSONDecodeError:
                 payload = {"error": raw.decode(errors="replace")}
-            raise ServiceError(error.code, payload) from None
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                0, {"error": f"cannot reach {self.url}: {error.reason}"}
-            ) from None
+            raise ServiceError(response.status, payload)
+        return json.loads(raw or b"{}")
+
+    def _unreachable(self, error: BaseException) -> ServiceError:
+        return ServiceError(0, {"error": f"cannot reach {self.url}: {error}"})
 
     # -- the API -------------------------------------------------------------
     def healthz(self) -> dict:

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from repro.sim.config import SystemConfig, TimingParams
 from repro.memory.hierarchy import HierarchyParams
@@ -174,11 +174,23 @@ class _SpecBase:
 
     # -- identity -----------------------------------------------------------
     def content_hash(self) -> str:
-        """Hex digest keying the persistent store (salted by code version)."""
+        """Hex digest keying the persistent store (salted by code version).
 
+        Memoised on the instance, keyed by the salt it was computed under:
+        the store, scheduler and manifests ask for the same spec's digest
+        several times per request.  The memo is not a dataclass field, so
+        it takes no part in ``==``, ``hash()``, :meth:`as_dict` or
+        ``dataclasses.replace``.
+        """
+
+        version = code_version()
+        memo = self.__dict__.get("_content_hash")
+        if memo is not None and memo[0] == version:
+            return memo[1]
         canonical = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(f"{code_version()}|{canonical}".encode())
-        return digest.hexdigest()
+        digest = hashlib.sha256(f"{version}|{canonical}".encode()).hexdigest()
+        object.__setattr__(self, "_content_hash", (version, digest))
+        return digest
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ ship:
 * :class:`ProcessPoolBackend` fans calls out to a lazily created
   ``ProcessPoolExecutor`` (the ``jobs > 1`` policy — the pool spawns on
   the first submitted call, so a fully store-satisfied batch never pays
-  for worker processes).
+  for worker processes, and respawns after a worker dies).
 
 Anything satisfying the protocol — a remote-worker pool, a cluster client —
 slots in without the scheduler changing: the backend is a constructor
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Protocol, runtime_checkable
 
 
@@ -79,6 +80,11 @@ class ProcessPoolBackend:
     The pool spawns on the first :meth:`submit`, so schedulers whose every
     spec is satisfied from the store never pay for worker processes —
     matching the old executor's "don't spawn a pool you won't use" rule.
+
+    A worker that dies abruptly (OOM kill, ``os._exit``) breaks its whole
+    pool: the calls in flight fail with ``BrokenProcessPool``, and the
+    next :meth:`submit` replaces the pool, so a long-running daemon keeps
+    serving.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -94,8 +100,12 @@ class ProcessPoolBackend:
         with self._lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(max_workers=self.slots)
-            pool = self._pool
-        return pool.submit(fn, *args)
+            try:
+                return self._pool.submit(fn, *args)
+            except BrokenProcessPool:
+                self._pool.shutdown(wait=False)
+                self._pool = ProcessPoolExecutor(max_workers=self.slots)
+                return self._pool.submit(fn, *args)
 
     def close(self) -> None:
         """Shut the pool down, waiting for in-flight work to finish."""

@@ -34,12 +34,18 @@ Everything is stdlib (``http.server.ThreadingHTTPServer``): no new
 dependencies.  Handler threads block in :meth:`Scheduler.submit` only long
 enough to compile and enqueue — execution happens on the scheduler's
 backend — so a slow simulation never starves ``/healthz``.
+
+Connections are HTTP/1.1 keep-alive: one handler thread serves every
+request a client sends on its connection, until the client closes it, it
+sits idle for :data:`IDLE_TIMEOUT_S`, or :meth:`ServiceServer.server_close`
+shuts it down.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import socket
 import sys
 import threading
 import time
@@ -56,6 +62,10 @@ from repro.service.scheduler import QuotaExceededError, Scheduler
 #: Default bind address of ``repro serve``.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
+
+#: Seconds a kept-alive connection may sit idle before the daemon closes
+#: it, so an abandoned client cannot pin a handler thread.
+IDLE_TIMEOUT_S = 30.0
 
 #: Content type of ``GET /metrics`` (Prometheus text exposition format).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -100,7 +110,13 @@ def _route_label(path: str) -> str:
 
 
 class ServiceServer(ThreadingHTTPServer):
-    """The HTTP server plus the scheduler/store it fronts."""
+    """The HTTP server plus the scheduler/store it fronts.
+
+    Each accepted connection gets a handler thread for its lifetime.
+    :meth:`server_close` shuts every open connection down and joins its
+    thread, so nothing outlives the server — not even an idle kept-alive
+    client's handler.
+    """
 
     daemon_threads = True
 
@@ -109,7 +125,46 @@ class ServiceServer(ThreadingHTTPServer):
         self.scheduler = scheduler
         self.store = store
         self.verbose = verbose
+        #: accepted socket -> the thread serving it, while it is open.
+        self._open: dict[socket.socket, threading.Thread] = {}
+        self._open_lock = threading.Lock()
         super().__init__(address, _Handler)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            daemon=self.daemon_threads,
+        )
+        with self._open_lock:
+            self._open[request] = thread
+        thread.start()
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._open_lock:
+                self._open.pop(request, None)
+
+    def server_close(self) -> None:
+        """Stop listening, then end every open connection and its thread.
+
+        Shutting the read side down wakes a handler blocked waiting for
+        its client's next request (it sees end-of-stream and returns) while
+        letting one that is mid-request finish writing its response.
+        """
+
+        super().server_close()
+        with self._open_lock:
+            open_connections = list(self._open.items())
+        for request, _ in open_connections:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # already closed by its handler
+                pass
+        for _, thread in open_connections:
+            thread.join()
 
     @property
     def url(self) -> str:
@@ -122,6 +177,10 @@ class ServiceServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # Each response leaves in one write (see _send_bytes), so no small
+    # segment waits on the client's delayed ACK.
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
     server: ServiceServer  # narrowed for the route handlers
 
     # -- plumbing ------------------------------------------------------------
@@ -142,8 +201,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers(), with the body joined to the buffered status line
+        # and headers: one write per response.
+        self._headers_buffer += [b"\r\n", body]
+        self.flush_headers()
 
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message})

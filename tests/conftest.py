@@ -7,8 +7,11 @@ few hundred accesses instead of tens of thousands.
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 
+from repro.client import ServiceClient
 from repro.experiments import store as store_module
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import HierarchyParams, MemoryHierarchy
@@ -29,6 +32,18 @@ def _isolated_result_store(tmp_path, monkeypatch):
     previous = store_module.set_default_store(None)
     yield
     store_module.set_default_store(previous)
+
+
+@pytest.fixture
+def connect():
+    """``connect(url, **kwargs)``: a ServiceClient closed when the test ends.
+
+    Clients keep their connections open between calls; closing them at
+    teardown keeps the HTTP tests free of unclosed-socket warnings.
+    """
+
+    with contextlib.ExitStack() as stack:
+        yield lambda url, **kwargs: stack.enter_context(ServiceClient(url, **kwargs))
 
 
 @pytest.fixture

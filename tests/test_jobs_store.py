@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -101,6 +102,47 @@ class TestRunSpec:
         assert len(before) == 64
         monkeypatch.setattr(jobs, "_code_version_cache", "other-code-version")
         assert make_spec().content_hash() != before
+
+    def test_content_hash_memo_is_not_part_of_identity(self):
+        hashed, fresh = make_spec(), make_spec()
+        digest = hashed.content_hash()
+        assert hashed == fresh and hash(hashed) == hash(fresh)
+        assert hashed.as_dict() == fresh.as_dict()
+        assert repr(hashed) == repr(fresh)
+        assert dataclasses.asdict(hashed) == dataclasses.asdict(fresh)
+        assert fresh.content_hash() == digest
+
+    def test_content_hash_memo_survives_pickling(self):
+        spec = make_spec()
+        digest = spec.content_hash()
+        restored = pickle.loads(pickle.dumps(spec))
+        assert restored == spec
+        assert restored.content_hash() == digest == make_spec().content_hash()
+
+    def test_replace_recomputes_the_content_hash(self):
+        spec = make_spec()
+        digest = spec.content_hash()
+        changed = dataclasses.replace(spec, max_accesses=400)
+        assert changed.content_hash() != digest
+        assert changed.content_hash() == make_spec(max_accesses=400).content_hash()
+
+    def test_memoised_hash_follows_the_code_version(self, monkeypatch):
+        from repro.experiments import jobs
+
+        spec = make_spec()
+        before = spec.content_hash()
+        monkeypatch.setattr(jobs, "_code_version_cache", "other-code-version")
+        assert spec.content_hash() == make_spec().content_hash() != before
+
+    def test_freeze_treats_any_mapping_like_a_dict(self):
+        from types import MappingProxyType
+
+        from repro.experiments.jobs import _freeze
+
+        tree = {"b": [1, {"d": 2, "c": (3,)}], "a": {"x": None}}
+        frozen = (("a", (("x", None),)), ("b", (1, (("c", (3,)), ("d", 2)))))
+        assert _freeze(tree) == frozen
+        assert _freeze(MappingProxyType(tree)) == frozen
 
     def test_execute_spec_runs_from_spec_alone(self):
         stats = execute_spec(make_spec(max_accesses=300, warmup_fraction=0.2))

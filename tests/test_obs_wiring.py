@@ -305,8 +305,8 @@ class TestMetricsEndpoint:
         assert content_type == METRICS_CONTENT_TYPE
         assert "# TYPE repro_jobs_completed_total counter" in text
 
-    def test_request_latency_measured_per_endpoint(self, live_server, telemetry):
-        client = ServiceClient(live_server.url, client="obs-test")
+    def test_request_latency_measured_per_endpoint(self, live_server, telemetry, connect):
+        client = connect(live_server.url, client="obs-test")
         job = client.submit(
             {
                 "kind": "run",

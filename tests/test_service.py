@@ -12,8 +12,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import os
+import sys
 import threading
+import time
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -24,6 +28,8 @@ from repro.experiments.parallel import BatchExecutor
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.store import ResultStore, default_store, store_stats_payload
 from repro.service.manifest import job_manifest, spec_from_payload, spec_payload, verify_manifest
+from repro.service import server as server_module
+from repro.service.backends import ProcessPoolBackend
 from repro.service.scheduler import Job, QuotaExceededError, Scheduler
 from repro.service.server import build_server
 
@@ -304,8 +310,8 @@ TINY_RUN = {
 
 
 class TestHTTPService:
-    def test_healthz_and_store_stats(self, service):
-        client = ServiceClient(service.url)
+    def test_healthz_and_store_stats(self, service, connect):
+        client = connect(service.url)
         health = client.healthz()
         assert health["status"] == "ok"
         assert health["code_version"] == code_version()
@@ -313,8 +319,8 @@ class TestHTTPService:
         stats = client.store_stats()
         assert stats == json.loads(json.dumps(store_stats_payload(service.store)))
 
-    def test_submit_wait_result_manifest_and_warm_replay(self, service):
-        client = ServiceClient(service.url, client="test-suite")
+    def test_submit_wait_result_manifest_and_warm_replay(self, service, connect):
+        client = connect(service.url, client="test-suite")
         job = client.submit(TINY_RUN)
         assert job["state"] in ("running", "completed")
         snapshot = client.wait(job["id"], timeout=60)
@@ -347,8 +353,8 @@ class TestHTTPService:
         assert fetched["manifest"]["store"]["executed"] == 0
         assert digest in fetched["result"]["results"]
 
-    def test_event_streaming_with_after(self, service):
-        client = ServiceClient(service.url)
+    def test_event_streaming_with_after(self, service, connect):
+        client = connect(service.url)
         job = client.submit(TINY_RUN)
         client.wait(job["id"], timeout=60)
         full = client.status(job["id"])
@@ -358,8 +364,8 @@ class TestHTTPService:
         tail = client.status(job["id"], after=last - 1)["events"]
         assert [e["seq"] for e in tail] == [last]
 
-    def test_job_listing_and_cancel_of_finished_job(self, service):
-        client = ServiceClient(service.url)
+    def test_job_listing_and_cancel_of_finished_job(self, service, connect):
+        client = connect(service.url)
         job = client.submit(TINY_RUN)
         client.wait(job["id"], timeout=60)
         listed = client.jobs()
@@ -369,8 +375,8 @@ class TestHTTPService:
         assert outcome["cancelled"] is False
         assert outcome["job"]["state"] == "completed"
 
-    def test_error_mapping(self, service):
-        client = ServiceClient(service.url)
+    def test_error_mapping(self, service, connect):
+        client = connect(service.url)
         with pytest.raises(ServiceError) as not_found:
             client.status("job-nope")
         assert not_found.value.status == 404
@@ -384,12 +390,12 @@ class TestHTTPService:
             ServiceClient("http://127.0.0.1:9", timeout=0.5).healthz()
         assert unreachable.value.status == 0
 
-    def test_quota_maps_to_429(self, tmp_path):
+    def test_quota_maps_to_429(self, tmp_path, connect):
         server = build_server(None, port=0, jobs=1, quota=1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            client = ServiceClient(server.url, client="greedy")
+            client = connect(server.url, client="greedy")
             with pytest.raises(ServiceError) as over:
                 client.submit(
                     {**TINY_RUN, "configurations": ["baseline", "triage"]}
@@ -403,7 +409,7 @@ class TestHTTPService:
             server.scheduler.close()
             thread.join(timeout=5)
 
-    def test_two_concurrent_clients_share_every_execution(self, service):
+    def test_two_concurrent_clients_share_every_execution(self, service, connect):
         """Acceptance: same study from two clients, zero duplicate specs."""
 
         payload = {
@@ -418,7 +424,7 @@ class TestHTTPService:
         results: dict[str, dict] = {}
 
         def submit_and_fetch(name: str) -> None:
-            client = ServiceClient(service.url, client=name)
+            client = connect(service.url, client=name)
             barrier.wait()
             job = client.submit(payload)
             client.wait(job["id"], timeout=120)
@@ -450,6 +456,150 @@ class TestHTTPService:
         assert service.store.puts == unique_specs
         # ...and both clients got the identical rendered figure.
         assert results["alice"]["result"]["rendered"] == results["bob"]["result"]["rendered"]
+
+
+def count_accepts(server, monkeypatch) -> list:
+    """Record the client address of every connection ``server`` accepts."""
+
+    accepted = []
+    process_request = server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    monkeypatch.setattr(server, "process_request", counting)
+    return accepted
+
+
+def wait_until(condition, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestConnections:
+    """Kept-alive client connections and the server's connection lifecycle."""
+
+    def test_requests_from_one_client_share_one_connection(
+        self, service, connect, monkeypatch
+    ):
+        accepted = count_accepts(service, monkeypatch)
+        client = connect(service.url)
+        for _ in range(5):
+            assert client.healthz()["status"] == "ok"
+        client.jobs()
+        client.store_stats()
+        assert len(accepted) == 1
+
+    def test_404_then_200_on_the_same_connection(self, service, connect, monkeypatch):
+        accepted = count_accepts(service, monkeypatch)
+        client = connect(service.url)
+        with pytest.raises(ServiceError) as missing:
+            client.status("job-nope")
+        assert missing.value.status == 404
+        assert "job-nope" in missing.value.payload["error"]
+        assert client.healthz()["status"] == "ok"
+        assert len(accepted) == 1
+
+    def test_server_close_ends_idle_kept_alive_connections(self, tmp_path, connect):
+        server = build_server(ResultStore(tmp_path / "store"), port=0, jobs=1)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        client = connect(server.url)
+        client.healthz()  # the connection now sits idle, kept alive
+        handlers = list(server._open.values())
+        assert len(handlers) == 1 and handlers[0].is_alive()
+        server.shutdown()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        start = time.monotonic()
+        server.server_close()
+        server.scheduler.close()
+        assert time.monotonic() - start < server_module.IDLE_TIMEOUT_S / 3
+        assert not any(handler.is_alive() for handler in handlers)
+        assert server._open == {}
+
+    def test_requests_after_the_idle_timeout_reconnect(
+        self, tmp_path, connect, monkeypatch
+    ):
+        monkeypatch.setattr(server_module._Handler, "timeout", 0.2)
+        server = build_server(ResultStore(tmp_path / "store"), port=0, jobs=1)
+        accepted = count_accepts(server, monkeypatch)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
+        thread.start()
+        try:
+            client = connect(server.url)
+            client.healthz()
+            # The daemon drops the idle connection; the client still holds it.
+            assert wait_until(lambda: not server._open)
+            assert client.healthz()["status"] == "ok"
+            assert wait_until(lambda: not server._open)
+            job = client.submit(TINY_RUN)
+            assert [entry.id for entry in server.scheduler.jobs()] == [job["id"]]
+            assert len(accepted) == 3
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+            server.server_close()
+            server.scheduler.close()
+
+    def test_one_client_shared_by_several_threads(self, service, connect, monkeypatch):
+        """Each thread gets its own connection and only its own answers."""
+
+        accepted = count_accepts(service, monkeypatch)
+        client = connect(service.url)
+        names = ("a", "b", "c", "d")  # more threads than cores
+        barrier = threading.Barrier(len(names))
+        answers: dict[str, list] = {}
+
+        def ask(name: str) -> None:
+            barrier.wait()
+            replies = answers[name] = []
+            for number in range(20):
+                try:
+                    client.status(f"job-{name}-{number}")
+                except ServiceError as error:
+                    replies.append(error.payload["error"])
+                replies.append(client.healthz()["status"])
+
+        threads = [threading.Thread(target=ask, args=(name,)) for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for name in names:
+            expected = []
+            for number in range(20):
+                expected += [f"unknown job 'job-{name}-{number}'", "ok"]
+            assert answers[name] == expected
+        assert len(accepted) == len(names)  # one connection per thread
+
+
+class TestProcessPoolBackend:
+    def test_pool_is_rebuilt_after_a_worker_dies(self):
+        backend = ProcessPoolBackend(1)
+        try:
+            assert backend.submit(pow, 2, 10).result(timeout=60) == 1024
+            doomed = backend.submit(os._exit, 1)
+            with pytest.raises(BrokenProcessPool):
+                doomed.result(timeout=60)
+            assert backend.submit(pow, 3, 4).result(timeout=60) == 81
+        finally:
+            backend.close()
 
 
 def _hammer_store(path, pairs) -> None:
